@@ -1,10 +1,24 @@
-"""Setuptools shim so ``pip install -e .`` works without network access.
+"""Packaging metadata for ``repro``, the Saga reproduction.
 
-The offline environment has setuptools but not the ``wheel`` package, so the
-legacy ``setup.py develop`` code path is used for editable installs.  All
-project metadata lives in ``pyproject.toml``.
+The repository has no ``pyproject.toml``; this file carries the metadata
+itself.  The version is read from ``src/repro/_version.py`` as text, so
+building never imports the package or numpy.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "_version.py"
+_VERSION = re.search(
+    r'^__version__\s*=\s*"([^"]+)"', _VERSION_FILE.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -13,7 +13,6 @@ uncertainty.  Upper Confidence Bound (UCB) is provided as an alternative
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import SearchError
 from .gp import GaussianProcessRegressor
@@ -36,6 +35,11 @@ def expected_improvement(
     xi:
         Optional exploration margin added to ``p_best``.
     """
+    # Imported here, not at module level: scipy.stats costs most of the time
+    # ``import repro`` takes.  ndtr is the function scipy.stats.norm.cdf
+    # calls, so the values are bit-identical.
+    from scipy.special import ndtr
+
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     if mean.shape != std.shape:
@@ -43,7 +47,9 @@ def expected_improvement(
     improvement = mean - best_value - xi
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improvement / std, 0.0)
-    ei = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    # The standard normal density, written as scipy.stats.norm.pdf computes it.
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    ei = improvement * ndtr(z) + std * pdf
     # Where the posterior is (numerically) deterministic, EI reduces to the
     # positive part of the improvement.
     ei = np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))

@@ -133,10 +133,8 @@ class Conv1d(Module):
             stride, kernel_size, padding = self.stride, self.kernel_size, self.padding
             input_shape = x.data.shape
 
-            def _backward() -> None:
-                if columns_tensor.grad is None:
-                    return
-                grad_cols = columns_tensor.grad.reshape(batch, out_length, kernel_size, channels)
+            def _backward(out_grad: np.ndarray) -> None:
+                grad_cols = out_grad.reshape(batch, out_length, kernel_size, channels)
                 grad_padded = col2im_accumulate(grad_cols, kernel_size, stride, length)
                 if padding > 0:
                     grad_input = grad_padded[:, padding:padding + input_shape[1], :]

@@ -26,6 +26,16 @@ Design notes
   for ``clip``).  The fast path is where :func:`no_grad` inference runs and
   where the :mod:`repro.nn.jit` tracer hooks in: when a trace session is
   active in the current thread, each detached op is recorded onto its tape.
+* Ownership: a backward closure receives its output's gradient as an argument
+  (:meth:`Tensor.backward` calls ``node._backward(node.grad)`` for every node
+  that received a gradient) and references only the op's inputs and the
+  arrays its gradient needs, never the output tensor.  A node therefore
+  references only its inputs, so the recorded graph is a DAG owned by its
+  root and lives exactly as long as the root: reference counting frees every
+  activation and intermediate gradient as soon as the caller drops the root
+  (the loss), without Python's cyclic collector.  While the root is still
+  referenced the graph stays whole, so calling ``backward`` twice accumulates
+  as before.
 """
 
 from __future__ import annotations
@@ -217,7 +227,7 @@ def _as_array(value: ArrayLike, dtype: Optional[np.dtype] = None) -> np.ndarray:
     return arr
 
 
-def _noop_backward() -> None:
+def _noop_backward(out_grad: Optional[np.ndarray] = None) -> None:
     return None
 
 
@@ -263,6 +273,7 @@ class Tensor:
 
     __slots__ = (
         "data", "grad", "requires_grad", "_backward", "_prev", "_op", "name", "_trace_id",
+        "__weakref__",
     )
     __array_priority__ = 200  # ensure numpy defers to Tensor's operators
 
@@ -282,7 +293,7 @@ class Tensor:
             requires_grad = False
             _prev = ()
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Callable[[], None] = _noop_backward
+        self._backward: Callable[[np.ndarray], None] = _noop_backward
         self._prev: Tuple[Tensor, ...] = tuple(_prev)
         self._op: str = _op
         self.name = name
@@ -352,10 +363,8 @@ class Tensor:
                 _op="astype",
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad)
 
             out._backward = _backward
             return out
@@ -421,7 +430,8 @@ class Tensor:
 
         self.grad = seed if self.grad is None else self.grad + seed
         for node in reversed(topo):
-            node._backward()
+            if node.grad is not None:
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -436,13 +446,11 @@ class Tensor:
                 _op="add",
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
+            def _backward(out_grad: np.ndarray) -> None:
                 if self.requires_grad:
-                    self._accumulate_grad(unbroadcast(out.grad, self.shape))
+                    self._accumulate_grad(unbroadcast(out_grad, self.shape))
                 if other.requires_grad:
-                    other._accumulate_grad(unbroadcast(out.grad, other.shape))
+                    other._accumulate_grad(unbroadcast(out_grad, other.shape))
 
             out._backward = _backward
             return out
@@ -470,13 +478,11 @@ class Tensor:
                 _op="mul",
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
+            def _backward(out_grad: np.ndarray) -> None:
                 if self.requires_grad:
-                    self._accumulate_grad(unbroadcast(out.grad * other.data, self.shape))
+                    self._accumulate_grad(unbroadcast(out_grad * other.data, self.shape))
                 if other.requires_grad:
-                    other._accumulate_grad(unbroadcast(out.grad * self.data, other.shape))
+                    other._accumulate_grad(unbroadcast(out_grad * self.data, other.shape))
 
             out._backward = _backward
             return out
@@ -503,10 +509,8 @@ class Tensor:
                 _op="pow",
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * exponent * self.data ** (exponent - 1))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * exponent * self.data ** (exponent - 1))
 
             out._backward = _backward
             return out
@@ -526,26 +530,23 @@ class Tensor:
                 _op="matmul",
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                grad = out.grad
+            def _backward(out_grad: np.ndarray) -> None:
                 a, b = self.data, other.data
                 if self.requires_grad:
                     if b.ndim == 1:
-                        grad_a = np.expand_dims(grad, -1) * b
+                        grad_a = np.expand_dims(out_grad, -1) * b
                     elif a.ndim == 1:
-                        grad_a = grad @ np.swapaxes(b, -1, -2)
+                        grad_a = out_grad @ np.swapaxes(b, -1, -2)
                     else:
-                        grad_a = grad @ np.swapaxes(b, -1, -2)
+                        grad_a = out_grad @ np.swapaxes(b, -1, -2)
                     self._accumulate_grad(unbroadcast(grad_a, self.shape))
                 if other.requires_grad:
                     if a.ndim == 1:
-                        grad_b = np.expand_dims(a, -1) * grad
+                        grad_b = np.expand_dims(a, -1) * out_grad
                     elif b.ndim == 1:
-                        grad_b = np.swapaxes(a, -1, -2) @ grad if grad.ndim > 1 else a.T @ grad
+                        grad_b = np.swapaxes(a, -1, -2) @ out_grad if out_grad.ndim > 1 else a.T @ out_grad
                     else:
-                        grad_b = np.swapaxes(a, -1, -2) @ grad
+                        grad_b = np.swapaxes(a, -1, -2) @ out_grad
                     other._accumulate_grad(unbroadcast(grad_b, other.shape))
 
             out._backward = _backward
@@ -560,10 +561,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="exp")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * out_data)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * out_data)
 
             out._backward = _backward
             return out
@@ -574,10 +573,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="log")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad / self.data)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad / self.data)
 
             out._backward = _backward
             return out
@@ -591,10 +588,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="tanh")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * (1.0 - out_data ** 2))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * (1.0 - out_data ** 2))
 
             out._backward = _backward
             return out
@@ -605,10 +600,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="sigmoid")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * out_data * (1.0 - out_data))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * out_data * (1.0 - out_data))
 
             out._backward = _backward
             return out
@@ -620,10 +613,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="relu")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * mask)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * mask)
 
             out._backward = _backward
             return out
@@ -641,13 +632,11 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="gelu")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
+            def _backward(out_grad: np.ndarray) -> None:
                 sech2 = 1.0 - tanh_inner ** 2
                 d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
                 grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-                self._accumulate_grad(out.grad * grad)
+                self._accumulate_grad(out_grad * grad)
 
             out._backward = _backward
             return out
@@ -658,10 +647,8 @@ class Tensor:
             sign = np.sign(self.data)
             out = Tensor(np.abs(self.data), requires_grad=True, _prev=(self,), _op="abs")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * sign)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * sign)
 
             out._backward = _backward
             return out
@@ -674,10 +661,8 @@ class Tensor:
             mask = (self.data >= low) & (self.data <= high)
             out = Tensor(clipped, requires_grad=True, _prev=(self,), _op="clip")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad * mask)
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad * mask)
 
             out._backward = _backward
             return out
@@ -691,10 +676,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="sum")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                grad = out.grad
+            def _backward(out_grad: np.ndarray) -> None:
+                grad = out_grad
                 if axis is not None and not keepdims:
                     axes = (axis,) if isinstance(axis, int) else tuple(axis)
                     axes = tuple(a % self.data.ndim for a in axes)
@@ -731,10 +714,8 @@ class Tensor:
                 mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0
             )
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                grad = out.grad
+            def _backward(out_grad: np.ndarray) -> None:
+                grad = out_grad
                 if axis is not None and not keepdims:
                     grad = np.expand_dims(grad, axis)
                 self._accumulate_grad(mask * grad)
@@ -754,10 +735,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="reshape")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad.reshape(original_shape))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad.reshape(original_shape))
 
             out._backward = _backward
             return out
@@ -774,10 +753,8 @@ class Tensor:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="transpose")
             inverse = np.argsort(axes)
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad.transpose(inverse))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad.transpose(inverse))
 
             out._backward = _backward
             return out
@@ -793,11 +770,9 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="getitem")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
+            def _backward(out_grad: np.ndarray) -> None:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                np.add.at(grad, index, out_grad)
                 self._accumulate_grad(grad)
 
             out._backward = _backward
@@ -809,10 +784,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="expand_dims")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(np.squeeze(out.grad, axis=axis))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(np.squeeze(out_grad, axis=axis))
 
             out._backward = _backward
             return out
@@ -824,10 +797,8 @@ class Tensor:
         if _grad_mode.enabled and self.requires_grad:
             out = Tensor(out_data, requires_grad=True, _prev=(self,), _op="squeeze")
 
-            def _backward() -> None:
-                if out.grad is None:
-                    return
-                self._accumulate_grad(out.grad.reshape(original_shape))
+            def _backward(out_grad: np.ndarray) -> None:
+                self._accumulate_grad(out_grad.reshape(original_shape))
 
             out._backward = _backward
             return out
@@ -864,15 +835,13 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def _backward() -> None:
-            if out.grad is None:
-                return
+        def _backward(out_grad: np.ndarray) -> None:
             for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
                 if not tensor.requires_grad:
                     continue
-                slicer = [slice(None)] * out.grad.ndim
+                slicer = [slice(None)] * out_grad.ndim
                 slicer[axis] = slice(start, end)
-                tensor._accumulate_grad(out.grad[tuple(slicer)])
+                tensor._accumulate_grad(out_grad[tuple(slicer)])
 
         out._backward = _backward
         return out
@@ -886,10 +855,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if _grad_mode.enabled and any(t.requires_grad for t in tensors):
         out = Tensor(data, requires_grad=True, _prev=tuple(tensors), _op="stack")
 
-        def _backward() -> None:
-            if out.grad is None:
-                return
-            grads = np.split(out.grad, len(tensors), axis=axis)
+        def _backward(out_grad: np.ndarray) -> None:
+            grads = np.split(out_grad, len(tensors), axis=axis)
             for tensor, grad in zip(tensors, grads):
                 if tensor.requires_grad:
                     tensor._accumulate_grad(np.squeeze(grad, axis=axis))
@@ -912,13 +879,11 @@ def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     if _grad_mode.enabled and (a.requires_grad or b.requires_grad):
         out = Tensor(out_data, requires_grad=True, _prev=(a, b), _op="where")
 
-        def _backward() -> None:
-            if out.grad is None:
-                return
+        def _backward(out_grad: np.ndarray) -> None:
             if a.requires_grad:
-                a._accumulate_grad(unbroadcast(out.grad * cond, a.shape))
+                a._accumulate_grad(unbroadcast(out_grad * cond, a.shape))
             if b.requires_grad:
-                b._accumulate_grad(unbroadcast(out.grad * (~cond), b.shape))
+                b._accumulate_grad(unbroadcast(out_grad * (~cond), b.shape))
 
         out._backward = _backward
         return out

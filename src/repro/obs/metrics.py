@@ -35,6 +35,7 @@ import os
 import random
 import threading
 import time
+import zlib
 from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -471,8 +472,10 @@ class MetricFamily:
             child = self._children.get(key)
             if child is None:
                 if self.type == TYPE_HISTOGRAM:
-                    # Distinct deterministic reservoir stream per child.
-                    seed = hash((self.name, key)) & 0xFFFFFFFF
+                    # Distinct deterministic reservoir stream per child: a
+                    # digest of the name and label values, which, unlike
+                    # hash(), no per-process string-hash salt changes.
+                    seed = zlib.crc32(repr((self.name, key)).encode("utf-8"))
                     child = HistogramChild(seed=seed, **self._child_kwargs)
                 else:
                     child = _CHILD_TYPES[self.type]()

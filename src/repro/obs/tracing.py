@@ -173,7 +173,8 @@ class Tracer:
                 # the old deque between the copy below and the swap.  Swap
                 # under the lock, then re-append anything that raced into the
                 # old deque after the copy (record tuples are unique objects,
-                # so identity is a safe membership test).
+                # so identity is a safe membership test).  An append that
+                # lands after this scan is carried over by _append().
                 old = self._spans
                 copied = list(old)
                 self._spans = deque(copied, maxlen=int(capacity))
@@ -224,9 +225,23 @@ class Tracer:
         if thread_name is None:
             thread_name = threading.current_thread().name
             self._thread_names[ident] = thread_name
-        self._spans.append(  # repro: noqa[REP104] — GIL-atomic hot path
-            (trace_id, name, started, finished, os.getpid(), ident, thread_name, args)
-        )
+        self._append((trace_id, name, started, finished, os.getpid(), ident, thread_name, args))
+
+    def _append(self, record: tuple) -> None:
+        """Append ``record`` lock-free, surviving a concurrent :meth:`configure`.
+
+        ``deque.append`` is atomic under the GIL, but the deque is looked up
+        first: a configure() that copies, swaps and re-scans in between leaves
+        the record in the discarded deque.  A record that sees the swap after
+        appending takes the lock, so no swap is half done, and re-appends
+        itself unless the swap already carried it over.
+        """
+        spans = self._spans  # repro: noqa[REP104] — GIL-atomic hot path
+        spans.append(record)
+        if spans is not self._spans:  # repro: noqa[REP104] — identity check only
+            with self._lock:
+                if not any(kept is record for kept in self._spans):
+                    self._spans.append(record)
 
     def span(self, name: str, trace_id: Optional[str], **args):
         """Context manager recording ``name`` under ``trace_id`` on exit."""
@@ -285,7 +300,7 @@ class Tracer:
             trace_id, name, started, finished, pid, thread_id, thread_name, args = record
             if trace_id is None:
                 continue
-            self._spans.append(  # repro: noqa[REP104] — GIL-atomic, like record()
+            self._append(
                 (
                     str(trace_id), str(name), float(started), float(finished),
                     int(pid), int(thread_id), str(thread_name),

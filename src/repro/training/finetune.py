@@ -156,6 +156,9 @@ class Finetuner:
                             clip_grad_norm(trainable, cfg.grad_clip)
                         optimizer.step()
                         loss_value = float(loss.data)
+                        # Drop the root so this step's graph is freed before
+                        # the next forward records a new one.
+                        del logits, loss
                     epoch_loss += loss_value
                     batches += 1
                 mean_loss = epoch_loss / max(batches, 1)

@@ -204,6 +204,9 @@ class Pretrainer:
                             clip_grad_norm(model.parameters(), cfg.grad_clip)
                         optimizer.step()
                         loss_value = float(total.data)
+                        # Drop the root so this step's graph is freed before
+                        # the next forward records a new one.
+                        del total
 
                     epoch_loss += loss_value
                     for level in active_levels:

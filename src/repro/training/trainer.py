@@ -17,7 +17,7 @@ from ..datasets.base import IMUDataset
 from ..datasets.loaders import DataLoader
 from ..exceptions import ConfigurationError, TrainingError
 from ..logging_utils import get_logger
-from ..nn import Adam, CrossEntropyLoss, Module, clip_grad_norm
+from ..nn import Adam, CrossEntropyLoss, Module, clip_grad_norm, no_grad
 from ..obs.profiling import PhaseTimer
 from .history import EpochRecord, TrainingHistory
 from .metrics import evaluate_predictions
@@ -176,6 +176,9 @@ class SupervisedTrainer:
                         clip_grad_norm(model.parameters(), cfg.grad_clip)
                     optimizer.step()
                 epoch_loss += float(loss.data)
+                # Drop the root so this step's graph is freed before the next
+                # forward records a new one.
+                del logits, loss
                 batches += 1
             mean_loss = epoch_loss / max(batches, 1)
             metrics = {}
@@ -202,9 +205,10 @@ class SupervisedTrainer:
             labels = dataset.task_labels(task)
             predictions = np.empty(len(dataset), dtype=np.int64)
             loader = DataLoader(dataset, batch_size=batch_size, task=task, shuffle=False)
-            for batch in loader:
-                logits = forward_fn(batch.windows)
-                predictions[batch.indices] = logits.data.argmax(axis=-1)
+            with no_grad():
+                for batch in loader:
+                    logits = forward_fn(batch.windows)
+                    predictions[batch.indices] = logits.data.argmax(axis=-1)
         finally:
             model.train(was_training)
         return evaluate_predictions(predictions, labels, dataset.num_classes(task))

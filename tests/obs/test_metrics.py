@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +85,40 @@ class TestGauge:
         assert gauge.value == 1.0
 
 
+_RESERVOIR_SCRIPT = """
+import json, random
+from repro.obs.metrics import MetricsRegistry
+
+family = MetricsRegistry().histogram("lat_ms", labels=("route",), reservoir_size=32)
+stream = random.Random(7)
+for _ in range(2000):
+    family.labels(route="/v1/predict").observe(stream.random())
+    family.labels(route="/v1/batch").observe(stream.random())
+print(json.dumps({route: family.labels(route=route).samples()
+                  for route in ("/v1/predict", "/v1/batch")}))
+"""
+
+
+def _reservoirs_under_hash_seed(hash_seed: str) -> dict:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONHASHSEED"] = hash_seed
+    result = subprocess.run(
+        [sys.executable, "-c", _RESERVOIR_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 class TestHistogram:
+    def test_reservoirs_do_not_depend_on_the_string_hash_salt(self):
+        first = _reservoirs_under_hash_seed("1")
+        second = _reservoirs_under_hash_seed("2")
+        assert all(len(samples) == 32 for samples in first.values())
+        assert first == second
+
     def test_running_statistics(self, registry):
         hist = registry.histogram("lat_ms", buckets=(1.0, 10.0))
         for value in (0.5, 2.0, 50.0):

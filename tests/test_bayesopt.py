@@ -131,6 +131,25 @@ class TestAcquisition:
         high_std = expected_improvement(np.array([0.5]), np.array([0.3]), 0.5)
         assert high_std[0] > low_std[0]
 
+    def test_ei_is_bitwise_equal_to_the_scipy_stats_norm_formula(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(3)
+        best = 0.5
+        # Edge points: z = 0 (mean at the incumbent), std = 0 (certain
+        # posterior), and |z| ~ 90 where the density underflows to zero.
+        mean = np.concatenate([rng.normal(0.5, 0.3, 100_000), [0.5, 0.9, 0.1, 90.5, -89.5]])
+        std = np.concatenate([rng.uniform(1e-6, 0.5, 100_000), [0.3, 0.0, 0.0, 1.0, 1.0]])
+        improvement = mean - best
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(std > 0, improvement / std, 0.0)
+        np.testing.assert_array_equal(z[-5:], [0.0, 0.0, 0.0, 90.0, -90.0])
+        reference = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+        reference = np.where(std > 1e-12, reference, np.maximum(improvement, 0.0))
+        ei = expected_improvement(mean, std, best)
+        assert ei.dtype == reference.dtype
+        assert ei.tobytes() == reference.tobytes()
+
     def test_ei_shape_validation(self):
         with pytest.raises(SearchError):
             expected_improvement(np.zeros(3), np.zeros(2), 0.0)

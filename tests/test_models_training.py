@@ -344,6 +344,35 @@ class TestSupervisedTrainer:
         )
         assert len(history) < 10
 
+    def test_evaluate_records_no_graph_and_matches_grad_mode_predictions(
+        self, small_splits, small_backbone_config
+    ):
+        backbone = SagaBackbone(small_backbone_config, rng=np.random.default_rng(0))
+        model = build_classification_model(backbone, 2, rng=np.random.default_rng(0))
+        model.eval()
+        dataset = small_splits.validation
+        seen = []
+
+        def forward(windows):
+            logits = model(windows)
+            seen.append((windows, logits))
+            return logits
+
+        metrics = SupervisedTrainer.evaluate(model, dataset, "activity", forward=forward, batch_size=4)
+        assert len(seen) > 1
+        grad_mode_predictions = []
+        for windows, logits in seen:
+            assert logits._prev == () and not logits.requires_grad
+            recorded = model(windows)
+            assert recorded._prev  # outside evaluate the same forward records a graph
+            np.testing.assert_array_equal(recorded.data, logits.data)
+            grad_mode_predictions.append(recorded.data.argmax(axis=-1))
+        assert metrics == evaluate_predictions(
+            np.concatenate(grad_mode_predictions),
+            dataset.task_labels("activity"),
+            dataset.num_classes("activity"),
+        )
+
     def test_trainer_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainerConfig(epochs=0)

@@ -1,6 +1,10 @@
 """Top-level package utilities: version, exceptions, RNG registry, logging."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from repro import (
 )
 from repro.rng import RNGRegistry, make_rng, spawn
 
+_ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestPackage:
     def test_version_string(self):
@@ -28,6 +34,29 @@ class TestPackage:
         assert callable(repro.load_dataset)
         assert repro.SagaPipeline is not None
         assert repro.ExperimentRunner is not None
+
+    def test_import_loads_no_scipy(self):
+        """scipy is imported where it is used, so ``import repro`` needs numpy alone."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_setup_py_carries_name_and_version(self):
+        pytest.importorskip("setuptools")
+        result = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=_ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["repro", repro.__version__]
 
 
 class TestExceptions:
