@@ -21,7 +21,8 @@ import pytest
 from repro.datasets import SyntheticIMUConfig, generate_synthetic_dataset
 from repro.models.backbone import SagaBackbone
 from repro.models.composite import ClassificationModel
-from repro.parallel import ParallelTrainer, PrefetchDataLoader, fork_available
+from repro.obs import MetricsRegistry, set_registry
+from repro.parallel import PrefetchDataLoader, fork_available
 from repro.datasets.loaders import DataLoader
 from repro.training import SupervisedTrainer, TrainerConfig
 
@@ -79,11 +80,13 @@ def test_two_workers_at_least_1_3x_single_process_throughput(
         lambda: single_trainer.fit(single_model, train_dataset, TASK), samples
     )
 
-    parallel_trainer = ParallelTrainer(
+    parallel_trainer = SupervisedTrainer(
         _trainer_config(num_workers=2, parallel_backend=PREFERRED_BACKEND, prefetch_batches=2)
     )
-    run_once(benchmark, parallel_trainer.fit, parallel_model, train_dataset, TASK)
-    parallel_sps = parallel_trainer.last_run.samples_per_second
+    parallel_sps = _samples_per_second(
+        lambda: run_once(benchmark, parallel_trainer.fit, parallel_model, train_dataset, TASK),
+        samples,
+    )
     measure_seconds = time.perf_counter() - measure_started
 
     speedup = parallel_sps / single_sps
@@ -102,13 +105,19 @@ def test_two_workers_at_least_1_3x_single_process_throughput(
 
 
 def test_parallel_trainer_throughput_accounting(profile, train_dataset):
-    """Runs on any host: the parallel trainer must account for every sample."""
+    """Runs on any host: the 2-worker trainer must account for every sample."""
     model = build_model(profile, train_dataset, seed=5)
-    trainer = ParallelTrainer(_trainer_config(num_workers=2))
-    history = trainer.fit(model, train_dataset, TASK)
+    trainer = SupervisedTrainer(_trainer_config(num_workers=2))
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        history = trainer.fit(model, train_dataset, TASK)
+    finally:
+        set_registry(previous)
     assert np.isfinite(history.final_loss())
-    assert trainer.last_run.samples == len(train_dataset)
-    assert trainer.last_run.samples_per_second > 0
+    # Every window of the epoch reached exactly one worker.
+    samples = registry.get("parallel_worker_samples_total")
+    assert samples.labels(worker="0").value + samples.labels(worker="1").value == len(train_dataset)
 
 
 def test_prefetch_pipeline_matches_eager_loading_throughput(benchmark, train_dataset):

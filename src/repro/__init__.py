@@ -84,7 +84,7 @@ from .obs import (
     parse_prometheus_text,
     snapshot_registry,
 )
-from .parallel import DataParallelEngine, ParallelTrainer, PrefetchDataLoader
+from .parallel import DataParallelEngine, PrefetchDataLoader
 from .rng import RNGRegistry, make_rng
 from .serving import (
     GatewayConfig,
@@ -136,7 +136,6 @@ __all__ = [
     "GatewayError",
     "ParallelError",
     "ObservabilityError",
-    "ParallelTrainer",
     "DataParallelEngine",
     "PrefetchDataLoader",
     "MetricsRegistry",

@@ -18,6 +18,7 @@ import numpy as np
 from ..datasets.base import IMUDataset
 from ..exceptions import ConfigurationError
 from ..training.metrics import ClassificationMetrics
+from ..training.trainer import TrainerConfig
 
 
 @dataclass
@@ -34,6 +35,12 @@ class MethodBudget:
             raise ConfigurationError("epochs must be positive (pretrain may be zero)")
         if self.batch_size <= 0 or self.learning_rate <= 0:
             raise ConfigurationError("batch_size and learning_rate must be positive")
+
+    def loop_config(self, epochs: int) -> TrainerConfig:
+        """Settings of the shared training loop for ``epochs`` epochs of this budget."""
+        return TrainerConfig(
+            epochs=epochs, batch_size=self.batch_size, learning_rate=self.learning_rate, log_every=0
+        )
 
 
 class PerceptionMethod(abc.ABC):

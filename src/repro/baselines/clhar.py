@@ -19,8 +19,9 @@ import numpy as np
 
 from ..datasets.base import IMUDataset
 from ..datasets.loaders import DataLoader
-from ..exceptions import TrainingError
+from ..exceptions import ConfigurationError, TrainingError
 from ..models.classifier import MLPClassifier
+from ..obs.profiling import PhaseTimer
 from ..rng import make_rng
 from ..nn import (
     Adam,
@@ -29,13 +30,13 @@ from ..nn import (
     Linear,
     Module,
     NTXentLoss,
+    Sequential,
     Tensor,
-    clip_grad_norm,
     get_default_dtype,
-    no_grad,
 )
 from ..signal.augmentations import compose
-from ..training.metrics import ClassificationMetrics, evaluate_predictions
+from ..training.metrics import ClassificationMetrics
+from ..training.trainer import SupervisedTrainer, evaluate_model, run_training
 from .base import MethodBudget, PerceptionMethod
 
 
@@ -99,40 +100,36 @@ class CLHARMethod(PerceptionMethod):
         self.augmentations = tuple(augmentations)
         self.classifier_hidden_dim = classifier_hidden_dim
         self._encoder: Optional[ConvEncoder] = None
-        self._classifier: Optional[MLPClassifier] = None
+        self._classifier_model: Optional[Sequential] = None
 
     # ------------------------------------------------------------------
     def pretrain(self, unlabelled: IMUDataset, rng: np.random.Generator) -> None:
+        if self.budget.batch_size < 2:
+            raise ConfigurationError("CL-HAR's contrastive loss needs batch_size >= 2")
         encoder = ConvEncoder(unlabelled.num_channels, embedding_dim=self.embedding_dim, rng=rng)
         projector = ProjectionHead(self.embedding_dim, rng=rng)
         loss_fn = NTXentLoss(temperature=self.temperature)
-        parameters = encoder.parameters() + projector.parameters()
-        optimizer = Adam(parameters, lr=self.budget.learning_rate)
         augment = compose(self.augmentations)
-        loader = DataLoader(
-            unlabelled,
-            batch_size=self.budget.batch_size,
-            shuffle=True,
-            drop_last=True,
-            rng=rng,
-        )
-        encoder.train()
-        projector.train()
-        for _ in range(self.budget.pretrain_epochs):
-            for batch in loader:
-                if len(batch) < 2:
-                    continue
-                view1 = augment(batch.windows, rng)
-                view2 = augment(batch.windows, rng)
-                z1 = projector(encoder(view1))
-                z2 = projector(encoder(view2))
-                loss = loss_fn(z1, z2)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(parameters, 5.0)
-                optimizer.step()
-        encoder.eval()
-        self._encoder = encoder
+
+        def contrastive_step(model, batch, step_rng):
+            """NT-Xent between the projections of two augmented views of each window."""
+            view1 = augment(batch.windows, step_rng)
+            view2 = augment(batch.windows, step_rng)
+            return loss_fn(model(view1), model(view2))
+
+        if self.budget.pretrain_epochs:
+            model = Sequential(encoder, projector)
+            loader = DataLoader(
+                unlabelled,
+                batch_size=self.budget.batch_size,
+                shuffle=True,
+                drop_last=True,
+                rng=rng,
+            )
+            optimizer = Adam(model.parameters(), lr=self.budget.learning_rate)
+            config = self.budget.loop_config(self.budget.pretrain_epochs)
+            run_training(model, contrastive_step, loader, optimizer, config, rng, PhaseTimer("clhar"))
+        self._encoder = encoder.eval()
 
     def fit(
         self,
@@ -144,48 +141,23 @@ class CLHARMethod(PerceptionMethod):
         if self._encoder is None:
             raise TrainingError("CL-HAR requires pretrain() before fit()")
         del validation  # the contrastive baseline does not early-stop
-        num_classes = labelled.num_classes(task)
         classifier = MLPClassifier(
-            self.embedding_dim, num_classes, hidden_dim=self.classifier_hidden_dim, rng=rng
+            self.embedding_dim, labelled.num_classes(task), hidden_dim=self.classifier_hidden_dim, rng=rng
         )
-        from ..nn import CrossEntropyLoss
-
-        loss_fn = CrossEntropyLoss()
-        parameters = self._encoder.parameters() + classifier.parameters()
-        optimizer = Adam(parameters, lr=self.budget.learning_rate)
-        loader = DataLoader(
-            labelled, batch_size=self.budget.batch_size, task=task, shuffle=True, rng=rng
+        model = Sequential(self._encoder, classifier)
+        SupervisedTrainer(self.budget.loop_config(self.budget.finetune_epochs)).fit(
+            model, labelled, task, rng=rng
         )
-        self._encoder.train()
-        classifier.train()
-        for _ in range(self.budget.finetune_epochs):
-            for batch in loader:
-                logits = classifier(self._encoder(batch.windows))
-                loss = loss_fn(logits, batch.labels)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(parameters, 5.0)
-                optimizer.step()
-        self._encoder.eval()
-        classifier.eval()
-        self._classifier = classifier
+        self._classifier_model = model
 
     def evaluate(self, dataset: IMUDataset, task: str) -> ClassificationMetrics:
-        if self._encoder is None or self._classifier is None:
+        if self._classifier_model is None:
             raise TrainingError("CL-HAR must be fitted before evaluation")
-        labels = dataset.task_labels(task)
-        predictions = np.empty(len(dataset), dtype=np.int64)
-        loader = DataLoader(dataset, batch_size=128, task=task, shuffle=False)
-        with no_grad():
-            for batch in loader:
-                logits = self._classifier(self._encoder(batch.windows))
-                predictions[batch.indices] = logits.data.argmax(axis=-1)
-        return evaluate_predictions(predictions, labels, dataset.num_classes(task))
+        return evaluate_model(self._classifier_model, dataset, task)
 
     def num_parameters(self) -> int:
+        if self._classifier_model is not None:
+            return self._classifier_model.num_parameters()
         if self._encoder is None:
             raise TrainingError("CL-HAR has no model yet")
-        total = self._encoder.num_parameters()
-        if self._classifier is not None:
-            total += self._classifier.num_parameters()
-        return total
+        return self._encoder.num_parameters()

@@ -20,6 +20,7 @@ from ..datasets.base import IMUDataset
 from ..datasets.loaders import DataLoader
 from ..exceptions import TrainingError
 from ..models.classifier import MLPClassifier
+from ..obs.profiling import PhaseTimer
 from ..rng import make_rng
 from ..nn import (
     Adam,
@@ -28,13 +29,14 @@ from ..nn import (
     GlobalMaxPool1d,
     Linear,
     Module,
+    ModuleList,
+    Sequential,
     Tensor,
-    clip_grad_norm,
     get_default_dtype,
-    no_grad,
 )
 from ..signal.augmentations import get_augmentation
-from ..training.metrics import ClassificationMetrics, evaluate_predictions
+from ..training.metrics import ClassificationMetrics
+from ..training.trainer import SupervisedTrainer, evaluate_model, run_training
 from .base import MethodBudget, PerceptionMethod
 
 
@@ -81,42 +83,35 @@ class TPNMethod(PerceptionMethod):
         self.transformations = tuple(transformations)
         self.classifier_hidden_dim = classifier_hidden_dim
         self._encoder: Optional[SmallConvEncoder] = None
-        self._heads: Optional[list] = None
-        self._classifier: Optional[MLPClassifier] = None
+        self._classifier_model: Optional[Sequential] = None
 
     # ------------------------------------------------------------------
     def pretrain(self, unlabelled: IMUDataset, rng: np.random.Generator) -> None:
         encoder = SmallConvEncoder(unlabelled.num_channels, embedding_dim=self.embedding_dim, rng=rng)
         heads = [Linear(self.embedding_dim, 2, rng=rng) for _ in self.transformations]
-        parameters = encoder.parameters()
-        for head in heads:
-            parameters = parameters + head.parameters()
-        optimizer = Adam(parameters, lr=self.budget.learning_rate)
+        transforms = [get_augmentation(name) for name in self.transformations]
         loss_fn = CrossEntropyLoss()
-        loader = DataLoader(
-            unlabelled, batch_size=self.budget.batch_size, shuffle=True, rng=rng
-        )
-        encoder.train()
-        for _ in range(self.budget.pretrain_epochs):
-            for batch in loader:
-                total_loss = None
-                for transform_name, head in zip(self.transformations, heads):
-                    transform = get_augmentation(transform_name)
-                    apply_mask = rng.random(len(batch)) < 0.5
-                    inputs = batch.windows.copy()
-                    if apply_mask.any():
-                        inputs[apply_mask] = transform(inputs[apply_mask], rng)
-                    labels = apply_mask.astype(np.int64)
-                    logits = head(encoder(inputs))
-                    loss = loss_fn(logits, labels)
-                    total_loss = loss if total_loss is None else total_loss + loss
-                optimizer.zero_grad()
-                total_loss.backward()
-                clip_grad_norm(parameters, 5.0)
-                optimizer.step()
-        encoder.eval()
-        self._encoder = encoder
-        self._heads = heads
+
+        def transformation_step(model, batch, step_rng):
+            """Sum over transformations of the loss of predicting whether each was applied."""
+            encoder, *heads = model
+            total = None
+            for transform, head in zip(transforms, heads):
+                apply_mask = step_rng.random(len(batch)) < 0.5
+                inputs = batch.windows.copy()
+                if apply_mask.any():
+                    inputs[apply_mask] = transform(inputs[apply_mask], step_rng)
+                loss = loss_fn(head(encoder(inputs)), apply_mask.astype(np.int64))
+                total = loss if total is None else total + loss
+            return total
+
+        if self.budget.pretrain_epochs:
+            model = ModuleList([encoder, *heads])
+            loader = DataLoader(unlabelled, batch_size=self.budget.batch_size, shuffle=True, rng=rng)
+            optimizer = Adam(model.parameters(), lr=self.budget.learning_rate)
+            config = self.budget.loop_config(self.budget.pretrain_epochs)
+            run_training(model, transformation_step, loader, optimizer, config, rng, PhaseTimer("tpn"))
+        self._encoder = encoder.eval()
 
     def fit(
         self,
@@ -128,46 +123,23 @@ class TPNMethod(PerceptionMethod):
         if self._encoder is None:
             raise TrainingError("TPN requires pretrain() before fit()")
         del validation
-        num_classes = labelled.num_classes(task)
         classifier = MLPClassifier(
-            self.embedding_dim, num_classes, hidden_dim=self.classifier_hidden_dim, rng=rng
+            self.embedding_dim, labelled.num_classes(task), hidden_dim=self.classifier_hidden_dim, rng=rng
         )
-        loss_fn = CrossEntropyLoss()
-        parameters = self._encoder.parameters() + classifier.parameters()
-        optimizer = Adam(parameters, lr=self.budget.learning_rate)
-        loader = DataLoader(
-            labelled, batch_size=self.budget.batch_size, task=task, shuffle=True, rng=rng
+        model = Sequential(self._encoder, classifier)
+        SupervisedTrainer(self.budget.loop_config(self.budget.finetune_epochs)).fit(
+            model, labelled, task, rng=rng
         )
-        self._encoder.train()
-        classifier.train()
-        for _ in range(self.budget.finetune_epochs):
-            for batch in loader:
-                logits = classifier(self._encoder(batch.windows))
-                loss = loss_fn(logits, batch.labels)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(parameters, 5.0)
-                optimizer.step()
-        self._encoder.eval()
-        classifier.eval()
-        self._classifier = classifier
+        self._classifier_model = model
 
     def evaluate(self, dataset: IMUDataset, task: str) -> ClassificationMetrics:
-        if self._encoder is None or self._classifier is None:
+        if self._classifier_model is None:
             raise TrainingError("TPN must be fitted before evaluation")
-        labels = dataset.task_labels(task)
-        predictions = np.empty(len(dataset), dtype=np.int64)
-        loader = DataLoader(dataset, batch_size=128, task=task, shuffle=False)
-        with no_grad():
-            for batch in loader:
-                logits = self._classifier(self._encoder(batch.windows))
-                predictions[batch.indices] = logits.data.argmax(axis=-1)
-        return evaluate_predictions(predictions, labels, dataset.num_classes(task))
+        return evaluate_model(self._classifier_model, dataset, task)
 
     def num_parameters(self) -> int:
+        if self._classifier_model is not None:
+            return self._classifier_model.num_parameters()
         if self._encoder is None:
             raise TrainingError("TPN has no model yet")
-        total = self._encoder.num_parameters()
-        if self._classifier is not None:
-            total += self._classifier.num_parameters()
-        return total
+        return self._encoder.num_parameters()

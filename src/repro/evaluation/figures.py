@@ -338,19 +338,12 @@ def table4_training_costs(
 
 def _deployable_model(method) -> object:
     """Extract the inference-time model object from a fitted method."""
-    for attribute in ("_classifier_model",):
-        model = getattr(method, attribute, None)
-        if model is not None:
-            return model
+    model = getattr(method, "_classifier_model", None)
+    if model is not None:
+        return model
     pipeline = getattr(method, "_pipeline", None)
     if pipeline is not None and pipeline.classifier_model is not None:
         return pipeline.classifier_model
-    encoder = getattr(method, "_encoder", None)
-    classifier = getattr(method, "_classifier", None)
-    if encoder is not None and classifier is not None:
-        from ..nn import Sequential
-
-        return Sequential(encoder, classifier)
     raise ConfigurationError(f"cannot extract a deployable model from {method!r}")
 
 

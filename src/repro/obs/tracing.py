@@ -87,6 +87,12 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+# Each thread's name, resolved once per thread: threading.current_thread() is
+# a dict lookup plus object traversal per call, too slow for six records per
+# request.  The cache dies with its thread, so a new thread that CPython gives
+# a finished thread's get_ident() cannot inherit that thread's name.
+_this_thread = threading.local()
+
 
 class _Span:
     """Context manager recording one span on exit."""
@@ -125,10 +131,6 @@ class Tracer:
         # thread_name, args) tuples; SpanRecord materialisation is deferred
         # to spans().
         self._spans: Deque[tuple] = deque(maxlen=int(capacity))
-        # threading.current_thread() is a dict lookup plus object traversal
-        # per call — too slow for six records per request, and thread names
-        # never change here, so resolve each ident once.
-        self._thread_names: Dict[int, str] = {}
         # Sampling decisions are intentionally non-reproducible: the tracer
         # must not perturb (or depend on) the experiment's seeded RNG stream.
         self._rng = random.Random()  # repro: noqa[REP102]
@@ -220,12 +222,12 @@ class Tracer:
         """
         if trace_id is None:
             return
-        ident = threading.get_ident()
-        thread_name = self._thread_names.get(ident)
+        thread_name = getattr(_this_thread, "name", None)
         if thread_name is None:
-            thread_name = threading.current_thread().name
-            self._thread_names[ident] = thread_name
-        self._append((trace_id, name, started, finished, os.getpid(), ident, thread_name, args))
+            thread_name = _this_thread.name = threading.current_thread().name
+        self._append(
+            (trace_id, name, started, finished, os.getpid(), threading.get_ident(), thread_name, args)
+        )
 
     def _append(self, record: tuple) -> None:
         """Append ``record`` lock-free, surviving a concurrent :meth:`configure`.

@@ -1,6 +1,6 @@
 """Data-parallel training: sharded loading, all-reduce, prefetch pipeline.
 
-The subsystem has four layers (see ``DESIGN.md`` for the architecture):
+The subsystem has three layers (see ``DESIGN.md`` for the architecture):
 
 * :mod:`repro.parallel.allreduce` — synchronous weighted gradient all-reduce
   over shared-memory buffers (process backend) or an in-process numpy buffer
@@ -8,11 +8,13 @@ The subsystem has four layers (see ``DESIGN.md`` for the architecture):
 * :mod:`repro.parallel.engine` — the worker pool: one model replica per
   worker, batch scattering, gradient aggregation onto the master model and
   parameter broadcast back to the replicas;
-* :mod:`repro.parallel.trainer` — :class:`ParallelTrainer`, a drop-in
-  data-parallel equivalent of the supervised trainer;
 * :mod:`repro.parallel.prefetch` — :class:`PrefetchDataLoader`, a
   background-thread batch pipeline used by both the parallel and the
   single-process training paths.
+
+The training loop that drives the engine lives in
+:func:`repro.training.trainer.run_training`: every trainer runs data-parallel
+when its config sets ``num_workers > 0``.
 
 Sharded, seeded sampling itself lives with the data layer in
 :class:`repro.datasets.loaders.DataLoader` (``seed`` / ``num_shards`` /
@@ -30,7 +32,6 @@ from .engine import (
     split_batch,
 )
 from .prefetch import PrefetchDataLoader
-from .trainer import ParallelRunStats, ParallelTrainer
 
 __all__ = [
     "AllReduce",
@@ -44,6 +45,4 @@ __all__ = [
     "BACKEND_THREAD",
     "BACKEND_PROCESS",
     "PrefetchDataLoader",
-    "ParallelTrainer",
-    "ParallelRunStats",
 ]

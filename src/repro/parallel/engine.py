@@ -744,20 +744,18 @@ class DataParallelEngine:
         self,
         batch: Batch,
         optimizer,
-        clip_parameters=None,
         grad_clip: float = 0.0,
     ) -> Tuple[float, Dict[str, float]]:
         """One full synchronous update: accumulate → clip → step → broadcast.
 
-        ``clip_parameters`` restricts gradient clipping to a subset (e.g. a
-        frozen-backbone fine-tune clips only the classifier head); the
-        optimizer must already hold the master model's parameters.
+        Clipping covers ``optimizer.parameters``, the parameters the step
+        updates (a frozen-backbone fine-tune clips only the classifier
+        head); the optimizer must hold the master model's parameters.
         """
         loss, aux = self.accumulate(batch)
         with self.phase_timer.phase("optimizer"):
             if grad_clip > 0:
-                params = clip_parameters if clip_parameters is not None else self.model.parameters()
-                clip_grad_norm(params, grad_clip)
+                clip_grad_norm(optimizer.parameters, grad_clip)
             optimizer.step()
         with self.phase_timer.phase("broadcast"):
             self.broadcast()

@@ -20,15 +20,17 @@ import numpy as np
 from ..datasets.base import IMUDataset
 from ..datasets.loaders import DataLoader
 from ..exceptions import ConfigurationError, TrainingError
-from ..logging_utils import get_logger
 from ..masking.multi import MASK_LEVELS, MultiLevelMasker, MultiLevelMaskingConfig
 from ..models.backbone import BackboneConfig
 from ..models.composite import MaskedReconstructionModel, build_pretraining_model
-from ..nn import Adam, WeightedReconstructionLoss, clip_grad_norm
-from .history import EpochRecord, TrainingHistory
-from .trainer import validate_parallel_fields
+from ..nn import Adam, Tensor, WeightedReconstructionLoss
+from ..obs.profiling import PhaseTimer
+from .history import TrainingHistory
+from .trainer import LoopConfig, run_training
 
-logger = get_logger(__name__)
+# Re-exported, not called here: perfbench's traced run wraps this module
+# attribute by name.  The shared loop in .trainer does the clipping.
+from ..nn import clip_grad_norm  # noqa: F401
 
 DEFAULT_WEIGHTS: Dict[str, float] = {level: 0.25 for level in MASK_LEVELS}
 """Uniform default weights over the four pre-training tasks."""
@@ -48,27 +50,10 @@ def normalize_weights(weights: Mapping[str, float], levels=MASK_LEVELS) -> Dict[
 
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(LoopConfig):
     """Hyper-parameters of backbone pre-training."""
 
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-    grad_clip: float = 5.0
     masking: MultiLevelMaskingConfig = field(default_factory=MultiLevelMaskingConfig)
-    log_every: int = 10
-    seed: int = 0
-    num_workers: int = 0
-    parallel_backend: str = "thread"
-    prefetch_batches: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ConfigurationError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        validate_parallel_fields(self)
 
 
 @dataclass
@@ -140,19 +125,12 @@ class Pretrainer:
         loader = DataLoader(
             dataset, batch_size=cfg.batch_size, shuffle=True, rng=generator
         )
-        if cfg.prefetch_batches:
-            from ..parallel.prefetch import PrefetchDataLoader
-
-            loader = PrefetchDataLoader(loader, depth=cfg.prefetch_batches)
-
-        from ..nn.tensor import Tensor  # local import to avoid cycle at module load
 
         def masked_reconstruction_loss(replica, batch, step_rng):
             """Forward one (sub-)batch through every masking level on ``replica``.
 
             Returns the weighted total loss plus the per-level losses as
-            auxiliary metrics; used directly by the single-process loop and as
-            the worker step function of the data-parallel engine.
+            auxiliary metrics, which the loop averages into each epoch's record.
             """
             masked_by_level = masker.mask_all_levels(batch.windows, step_rng)
             reconstructions = replica.reconstruct_all_levels(
@@ -167,71 +145,15 @@ class Pretrainer:
             aux = {level: float(losses[level].data) for level in active_levels}
             return losses["total"], aux
 
-        history = TrainingHistory()
-        last_per_level: Dict[str, float] = {}
-        # train() must precede engine.start(): replicas inherit the master's
-        # train/eval mode at clone/fork time and broadcast() only syncs
-        # parameters, so a model that was eval()ed by a previous run would
-        # otherwise pre-train with dropout disabled in every worker.
-        model.train()
-        engine = None
-        if cfg.num_workers > 0:
-            from ..parallel.engine import DataParallelEngine
-
-            engine = DataParallelEngine(
-                model,
-                masked_reconstruction_loss,
-                num_workers=cfg.num_workers,
-                backend=cfg.parallel_backend,
-                seed=cfg.seed,
-            )
-            engine.start()
-        try:
-            for epoch in range(cfg.epochs):
-                epoch_loss = 0.0
-                per_level_sums = {level: 0.0 for level in active_levels}
-                batches = 0
-                for batch in loader:
-                    if engine is not None:
-                        loss_value, aux = engine.train_step(
-                            batch, optimizer, grad_clip=cfg.grad_clip
-                        )
-                    else:
-                        total, aux = masked_reconstruction_loss(model, batch, generator)
-                        optimizer.zero_grad()
-                        total.backward()
-                        if cfg.grad_clip > 0:
-                            clip_grad_norm(model.parameters(), cfg.grad_clip)
-                        optimizer.step()
-                        loss_value = float(total.data)
-                        # Drop the root so this step's graph is freed before
-                        # the next forward records a new one.
-                        del total
-
-                    epoch_loss += loss_value
-                    for level in active_levels:
-                        per_level_sums[level] += aux.get(level, 0.0)
-                    batches += 1
-
-                mean_loss = epoch_loss / max(batches, 1)
-                last_per_level = {
-                    level: value / max(batches, 1) for level, value in per_level_sums.items()
-                }
-                history.append(
-                    EpochRecord(epoch=epoch, train_loss=mean_loss, metrics=dict(last_per_level))
-                )
-                if cfg.log_every and epoch % cfg.log_every == 0:
-                    logger.info("pretrain epoch %d loss %.5f", epoch, mean_loss)
-        finally:
-            if engine is not None:
-                engine.close()
-
-        model.eval()
+        history = run_training(
+            model, masked_reconstruction_loss, loader, optimizer, cfg, generator,
+            PhaseTimer("pretrain"),
+        )
         return PretrainResult(
             model=model,
             history=history,
             weights=dict(task_weights),
-            per_level_losses=last_per_level,
+            per_level_losses=dict(history.records[-1].metrics),
         )
 
 

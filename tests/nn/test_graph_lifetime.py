@@ -18,9 +18,19 @@ import numpy as np
 import pytest
 
 from repro import get_profile
+from repro.baselines import CLHARMethod, ConvEncoder, MethodBudget, SmallConvEncoder, TPNMethod
 from repro.datasets import SyntheticIMUConfig, generate_synthetic_dataset
 from repro.models import build_pretraining_model
-from repro.nn import Conv1d, Tensor, concatenate, functional as F, stack, where
+from repro.nn import (
+    Conv1d,
+    CrossEntropyLoss,
+    NTXentLoss,
+    Tensor,
+    concatenate,
+    functional as F,
+    stack,
+    where,
+)
 from repro.training import FinetuneConfig, Finetuner, PretrainConfig, Pretrainer
 
 
@@ -218,3 +228,54 @@ def test_pretrain_peak_memory_holds_one_step_graph_at_a_time(bench_windows):
     one = _pretrain_peak_bytes(pretrainer, dataset.subset(np.arange(BATCH)))
     six = _pretrain_peak_bytes(pretrainer, dataset.subset(np.arange(6 * BATCH)))
     assert six <= 1.5 * one, (six, one)
+
+
+def _count_live_losses_at_each_forward(monkeypatch, loss_class, encoder_class):
+    """At every encoder forward, how many losses of earlier steps are alive.
+
+    Each loss ``loss_class`` returns is watched through a weak reference; a
+    ``backward`` call ends a step, so the losses recorded before it belong to
+    steps the next forward must no longer reach.
+    """
+    this_step, earlier_steps, live_counts = [], [], []
+    original_loss, original_backward = loss_class.forward, Tensor.backward
+    original_encoder = encoder_class.forward
+
+    def loss_forward(self, *args, **kwargs):
+        loss = original_loss(self, *args, **kwargs)
+        this_step.append(weakref.ref(loss))
+        return loss
+
+    def backward(self, grad=None):
+        earlier_steps.extend(this_step)
+        this_step.clear()
+        return original_backward(self, grad)
+
+    def encoder_forward(self, windows):
+        live_counts.append(sum(ref() is not None for ref in earlier_steps))
+        return original_encoder(self, windows)
+
+    monkeypatch.setattr(loss_class, "forward", loss_forward)
+    monkeypatch.setattr(Tensor, "backward", backward)
+    monkeypatch.setattr(encoder_class, "forward", encoder_forward)
+    return live_counts
+
+
+@pytest.mark.parametrize(
+    "method_class, loss_class, encoder_class, forwards_per_step",
+    [(CLHARMethod, NTXentLoss, ConvEncoder, 2), (TPNMethod, CrossEntropyLoss, SmallConvEncoder, 4)],
+    ids=["clhar", "tpn"],
+)
+def test_baseline_pretraining_frees_each_step_before_the_next_forward(
+    bench_windows, monkeypatch, method_class, loss_class, encoder_class, forwards_per_step
+):
+    dataset, _ = bench_windows
+    budget = MethodBudget(pretrain_epochs=1, finetune_epochs=1, batch_size=BATCH, learning_rate=3e-3)
+    method = method_class(budget=budget)
+    live_counts = _count_live_losses_at_each_forward(monkeypatch, loss_class, encoder_class)
+    with cyclic_gc_disabled():
+        method.pretrain(dataset.subset(np.arange(3 * BATCH)), np.random.default_rng(0))
+        garbage = gc.collect()
+    assert len(live_counts) == 3 * forwards_per_step
+    assert live_counts == [0] * len(live_counts), "a loss of an earlier step outlived its step"
+    assert garbage == 0, f"pre-training left {garbage} objects for the cyclic collector"

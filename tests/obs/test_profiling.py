@@ -162,12 +162,69 @@ class TestTrainerPhaseTiming:
         hist = private_registry.get("training_phase_seconds")
         assert hist.labels(scope="supervised", phase="forward").count == steps
 
+    def test_saga_fit_records_every_training_phase(self, private_registry, phase_timing):
+        """Pre-training and fine-tuning run through the shared loop, so one
+        ci-size ``SagaPipeline.fit`` with weight search times every step of both."""
+        from repro import get_profile
+        from repro.bayesopt import LWSConfig
+        from repro.core import SagaConfig, SagaPipeline
+        from repro.datasets import SyntheticIMUConfig, generate_synthetic_dataset
+        from repro.training import FinetuneConfig, PretrainConfig
+
+        profile = get_profile("ci")
+        dataset = generate_synthetic_dataset(
+            SyntheticIMUConfig(
+                num_users=3, activities=("walking", "sitting"), windows_per_combination=8,
+                window_length=profile.window_length, seed=13,
+            )
+        )
+        splits = dataset.split(rng=np.random.default_rng(0), stratify_task="activity")
+        labelled = splits.train.few_shot("activity", 5, rng=np.random.default_rng(1))
+        config = SagaConfig(
+            backbone=profile.backbone_config(dataset.num_channels),
+            pretrain=PretrainConfig(
+                epochs=profile.pretrain_epochs, batch_size=profile.batch_size,
+                learning_rate=profile.learning_rate, log_every=0,
+            ),
+            finetune=FinetuneConfig(
+                epochs=profile.finetune_epochs, batch_size=profile.batch_size,
+                learning_rate=profile.learning_rate, log_every=0,
+            ),
+            lws=LWSConfig(budget=profile.lws_budget, initial_random=profile.lws_initial_random),
+        )
+        pipeline = SagaPipeline(config)
+        pipeline.fit(
+            splits.train, labelled, "activity", splits.validation,
+            weights="search", rng=np.random.default_rng(2),
+        )
+
+        # Each of the budget's candidates is pre-trained and fine-tuned once,
+        # and the chosen weights once more.
+        runs = config.lws.budget + 1
+        assert len(pipeline.search_result.trials) == config.lws.budget
+        hist = private_registry.get("training_phase_seconds")
+        assert hist is not None
+        for scope, stage, data in (
+            ("pretrain", config.pretrain, splits.train),
+            ("finetune", config.finetune, labelled),
+        ):
+            steps = runs * stage.epochs * -(-len(data) // stage.batch_size)
+            counts = {
+                phase: hist.labels(scope=scope, phase=phase).count
+                for phase in ("data", "forward", "backward", "optimizer")
+            }
+            assert counts == {
+                "data": steps + runs * stage.epochs,  # one exhausted next() per epoch
+                "forward": steps,
+                "backward": steps,
+                "optimizer": steps,
+            }, scope
+
     def test_parallel_trainer_attributes_engine_phases(
         self, tiny_splits, private_registry, phase_timing
     ):
         from repro.models.backbone import BackboneConfig, SagaBackbone
         from repro.models.composite import build_classification_model
-        from repro.parallel import ParallelTrainer
 
         config = BackboneConfig(
             input_channels=tiny_splits.train.num_channels,
@@ -176,11 +233,13 @@ class TestTrainerPhaseTiming:
         )
         backbone = SagaBackbone(config, rng=np.random.default_rng(0))
         model = build_classification_model(backbone, 2, rng=np.random.default_rng(0))
-        trainer = ParallelTrainer(
+        trainer = SupervisedTrainer(
             TrainerConfig(epochs=1, batch_size=16, num_workers=2, log_every=0)
         )
         trainer.fit(model, tiny_splits.train, "activity", rng=np.random.default_rng(0))
 
+        # The engine records its phases into the loop's timer, so one scope
+        # carries the whole step: data, then the engine's four phases.
         counts = trainer.phase_timer.counts()
         assert set(counts) == {"data", "workers", "allreduce", "optimizer", "broadcast"}
         steps = counts["workers"]
@@ -188,6 +247,7 @@ class TestTrainerPhaseTiming:
         assert counts["allreduce"] == steps
         assert counts["optimizer"] == steps
         assert counts["broadcast"] == steps
+        assert counts["data"] == steps + 1  # the exhausted final next()
 
         hist = private_registry.get("training_phase_seconds")
-        assert hist.labels(scope="parallel", phase="workers").count == steps
+        assert hist.labels(scope="supervised", phase="workers").count == steps

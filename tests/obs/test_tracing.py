@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ObservabilityError
+from repro.obs import tracing
 from repro.obs.tracing import _NULL_SPAN, Tracer, configure_tracing, get_tracer
 from repro.serving import InferenceServer, ServerConfig
 
@@ -101,6 +103,33 @@ class TestSpanRecording:
         tracer.record("b", "other", 0.0, 1.0)
         assert [span.name for span in tracer.spans("a")] == ["first", "second"]
         assert set(tracer.trace_ids()) == {"a", "b"}
+
+
+class TestThreadNames:
+    def test_a_thread_never_takes_the_name_of_a_finished_thread(self, monkeypatch):
+        """CPython may give a new thread the ``get_ident()`` of a finished one.
+
+        The tracer is made to see one ident for every thread, so the test
+        does not depend on CPython reusing an ident during the run.
+        """
+
+        class OneIdentForAllThreads:
+            def __getattr__(self, name):
+                return getattr(threading, name)
+
+            @staticmethod
+            def get_ident():
+                return 12345
+
+        monkeypatch.setattr(tracing, "threading", OneIdentForAllThreads())
+        tracer = Tracer(sample_rate=1.0)
+        for started, name in enumerate(("first-worker", "second-worker")):
+            thread = threading.Thread(
+                target=tracer.record, args=("t", "work", float(started), started + 1.0), name=name
+            )
+            thread.start()
+            thread.join()
+        assert [span.thread_name for span in tracer.spans("t")] == ["first-worker", "second-worker"]
 
 
 class TestPidStamping:

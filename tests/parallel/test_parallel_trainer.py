@@ -1,9 +1,10 @@
 """Parity and lifecycle of the data-parallel training subsystem.
 
-The headline guarantee: a 2-worker :class:`ParallelTrainer` step aggregates
-shard gradients into exactly the large-batch gradient, so trained parameters
-match single-process training on the same seed to floating-point reordering
-error (far inside the 1e-6 budget of the acceptance criterion).
+The headline guarantee: a 2-worker step of the shared training loop
+(``SupervisedTrainer`` with ``num_workers=2``) aggregates shard gradients into
+exactly the large-batch gradient, so trained parameters match single-process
+training on the same seed to floating-point reordering error (far inside the
+1e-6 budget of the acceptance criterion).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from repro.datasets.loaders import Batch
 from repro.exceptions import ConfigurationError, ParallelError
 from repro.models.backbone import BackboneConfig
 from repro.nn import Flatten, Linear, ReLUActivation, Sequential, parameters_to_vector
-from repro.parallel import DataParallelEngine, ParallelTrainer, fork_available, split_batch
+from repro.obs import MetricsRegistry, set_registry
+from repro.parallel import DataParallelEngine, fork_available, split_batch
 from repro.training import (
     FinetuneConfig,
     Finetuner,
@@ -42,21 +44,38 @@ def fit_single(dataset, model, **overrides):
     return SupervisedTrainer(config).fit(model, dataset, TASK)
 
 
+def spy_engine_backends(monkeypatch):
+    """The backend of every DataParallelEngine started from here on."""
+    backends = []
+    original_start = DataParallelEngine.start
+
+    def spying_start(self):
+        backends.append(self.backend)
+        return original_start(self)
+
+    monkeypatch.setattr(DataParallelEngine, "start", spying_start)
+    return backends
+
+
 @pytest.mark.parametrize(
     "backend",
     ["thread", pytest.param("process", marks=pytest.mark.skipif(not fork_available(), reason="no fork"))],
 )
-def test_two_worker_parity_with_single_process_training(tiny_dataset, backend):
+def test_two_worker_parity_with_single_process_training(tiny_dataset, backend, monkeypatch):
     base = build_model(tiny_dataset)
     single = copy.deepcopy(base)
     parallel = copy.deepcopy(base)
 
     single_history = fit_single(tiny_dataset, single)
-    config = TrainerConfig(
-        epochs=2, batch_size=16, seed=11, log_every=0, num_workers=2, parallel_backend=backend
-    )
-    trainer = ParallelTrainer(config)
-    parallel_history = trainer.fit(parallel, tiny_dataset, TASK)
+    backends = spy_engine_backends(monkeypatch)
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        parallel_history = fit_single(
+            tiny_dataset, parallel, num_workers=2, parallel_backend=backend
+        )
+    finally:
+        set_registry(previous)
 
     np.testing.assert_allclose(
         parameters_to_vector(parallel.parameters()),
@@ -64,9 +83,10 @@ def test_two_worker_parity_with_single_process_training(tiny_dataset, backend):
         atol=1e-6,
     )
     assert parallel_history.final_loss() == pytest.approx(single_history.final_loss(), abs=1e-9)
-    assert trainer.last_run is not None
-    assert trainer.last_run.samples == 2 * len(tiny_dataset)
-    assert trainer.last_run.backend == backend
+    assert backends == [backend]
+    # Every window of both epochs reached exactly one worker.
+    samples = registry.get("parallel_worker_samples_total")
+    assert samples.labels(worker="0").value + samples.labels(worker="1").value == 2 * len(tiny_dataset)
 
 
 def test_supervised_trainer_delegates_on_num_workers(tiny_dataset):
@@ -90,7 +110,7 @@ def test_parity_with_validation_and_early_stopping(tiny_dataset):
     single_hist = SupervisedTrainer(TrainerConfig(**kwargs)).fit(
         single, tiny_dataset, TASK, validation_dataset=tiny_dataset
     )
-    parallel_hist = ParallelTrainer(TrainerConfig(num_workers=2, **kwargs)).fit(
+    parallel_hist = SupervisedTrainer(TrainerConfig(num_workers=2, **kwargs)).fit(
         parallel, tiny_dataset, TASK, validation_dataset=tiny_dataset
     )
     assert len(parallel_hist) == len(single_hist)
@@ -202,8 +222,6 @@ def test_num_workers_validation():
         PretrainConfig(num_workers=-1)
     with pytest.raises(ConfigurationError, match="num_workers"):
         FinetuneConfig(num_workers=-1)
-    with pytest.raises(ConfigurationError, match="num_workers >= 1"):
-        ParallelTrainer(TrainerConfig(num_workers=0))
     assert TrainerConfig(num_workers=0).num_workers == 0  # default stays valid
 
 
